@@ -1,7 +1,7 @@
-"""spark-submit entrypoint: run the Spark BSP diffusion engine directly.
+"""spark-submit entrypoint: run the Spark σ evaluator directly.
 
-Evaluates a Dysim seed group's importance-aware influence on the
-distributed engine (the GraphX-equivalent dataflow) and cross-checks it
+Evaluates a Dysim seed group's importance-aware influence with its
+Monte-Carlo samples sharded over the Spark workers and cross-checks it
 against the local reference engine — the two must agree exactly.
 
     spark-submit jobs/diffusion_spark.py --dataset small100 --budget 8 --T 3

@@ -5,8 +5,8 @@ Usage:
 
 ``--quick`` shrinks every sweep to one or two cheap cells (CI smoke).
 The full run reproduces EXPERIMENTS.md. A SparkSession is only needed
-for the certification re-evaluation of one cell on the Spark BSP
-engine; all planning runs locally (see DESIGN.md §3 layering).
+for the certification re-evaluation of one cell on the Spark σ
+evaluator; all planning runs locally (see DESIGN.md §3 layering).
 """
 from __future__ import annotations
 
@@ -70,7 +70,7 @@ def main(argv=None) -> int:
         lines += [f"## {title}", "", H.to_markdown(rows), ""]
 
     if not args.skip_spark_check:
-        log("certifying one cell on the Spark BSP engine ...")
+        log("certifying one cell on the Spark evaluator ...")
         from pyspark.sql import SparkSession
 
         spark = (
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
             "## Spark-engine certification",
             "",
             f"small100 Dysim cell (b=8): local engine sigma={lo_sigma:.6f}, "
-            f"Spark BSP engine sigma={sp_sigma:.6f} (identical trial keys; "
+            f"Spark evaluator sigma={sp_sigma:.6f} (identical trial keys; "
             "must match exactly).",
             "",
         ]

@@ -53,9 +53,18 @@ class SimResult:
     sigma_by_t: np.ndarray
 
 
-def _group_seeds(seeds, T: int) -> dict[int, list[tuple[int, int]]]:
+def _group_seeds(model: ModelData, seeds, T: int) -> dict[int, list[tuple[int, int]]]:
+    """Seeds ``(user, item, t)`` grouped by promotion, each group sorted.
+
+    Rejects ids outside ``[0, n_users) × [0, n_items)`` and timings
+    outside ``[1, T]``.
+    """
     by_t: dict[int, list[tuple[int, int]]] = {}
     for u, x, t in seeds:
+        if not (0 <= u < model.n_users and 0 <= x < model.n_items):
+            raise ValueError(
+                f"seed ({u}, {x}, {t}) outside [0, {model.n_users}) × [0, {model.n_items})"
+            )
         if not 1 <= t <= T:
             raise ValueError(f"seed timing {t} outside [1, {T}]")
         by_t.setdefault(int(t), []).append((int(u), int(x)))
@@ -79,31 +88,8 @@ def simulate(
     shifts the random stream (for independent replications); leaving it
     fixed gives common random numbers across seed groups.
     """
-    by_t = _group_seeds(seeds, T)
-    state = init_state(model, n_samples)
-    adopt_t = np.zeros((n_samples, model.n_users, model.n_items), dtype=np.int16)
-
-    pref0 = act0 = None
-    if frozen:
-        p = model.params
-        pref0 = np.clip(model.base_pref, p.pref_floor, 1.0)
-        act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)
-
-    for s in range(n_samples):
-        _run_sample(
-            model,
-            state.adopted[s],
-            state.wc[s],
-            state.ws[s],
-            adopt_t[s],
-            by_t,
-            T,
-            s,
-            frozen,
-            pref0,
-            act0,
-            trial_salt,
-        )
+    by_t = _group_seeds(model, seeds, T)
+    state, adopt_t = _run_samples(model, by_t, T, range(n_samples), frozen, trial_salt)
 
     per_item = adopt_t > 0  # [M, U, I]
     sigma_by_t = np.zeros(T + 1)
@@ -112,6 +98,47 @@ def simulate(
         sigma_by_t[t] = float((cnt.mean(axis=0) * model.importance).sum())
     sigma = float((per_item.sum(axis=1).mean(axis=0) * model.importance).sum())
     return SimResult(state, adopt_t, sigma, sigma_by_t)
+
+
+def _run_samples(
+    model: ModelData,
+    by_t: dict[int, list[tuple[int, int]]],
+    T: int,
+    samples,
+    frozen: bool,
+    salt: int,
+) -> tuple[WorldState, np.ndarray]:
+    """Run the campaign for the given global sample ids from a fresh state.
+
+    Returns the final state and ``adopt_t`` with one row per id, in the
+    order given. A sample's draws depend only on its id, so any block of
+    ids (the Spark evaluator's shards) reproduces those rows exactly.
+    """
+    state = init_state(model, len(samples))
+    adopt_t = np.zeros((len(samples), model.n_users, model.n_items), dtype=np.int16)
+
+    pref0 = act0 = None
+    if frozen:
+        p = model.params
+        pref0 = np.clip(model.base_pref, p.pref_floor, 1.0)
+        act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)
+
+    for i, s in enumerate(samples):
+        _run_sample(
+            model,
+            state.adopted[i],
+            state.wc[i],
+            state.ws[i],
+            adopt_t[i],
+            by_t,
+            T,
+            int(s),
+            frozen,
+            pref0,
+            act0,
+            salt,
+        )
+    return state, adopt_t
 
 
 def _run_sample(

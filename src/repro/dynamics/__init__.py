@@ -1,6 +1,5 @@
 """The four IMDPP factors (Sec. V-A) as pure kernels + model state."""
 from repro.dynamics.kernels import (
-    init_weights,
     normalize_rows,
     preference,
     influence_strength,
@@ -8,10 +7,9 @@ from repro.dynamics.kernels import (
     weight_gains,
     update_weights,
 )
-from repro.dynamics.state import ModelData, WorldState, init_state
+from repro.dynamics.state import ModelData, WorldState, init_state, initial_weights
 
 __all__ = [
-    "init_weights",
     "normalize_rows",
     "preference",
     "influence_strength",
@@ -21,4 +19,5 @@ __all__ = [
     "ModelData",
     "WorldState",
     "init_state",
+    "initial_weights",
 ]

@@ -1,10 +1,9 @@
 """Pure numpy kernels for the four IMDPP factors (DESIGN.md §3).
 
 These are the *single source of truth* for the dynamics math. The
-local Monte-Carlo engine calls them directly; the Spark engine calls
-the very same functions inside ``applyInPandas`` groups, so the two
-paths are bit-identical given the same inputs (all reductions here are
-fixed-order numpy reductions).
+local Monte-Carlo engine calls them; the Spark evaluator runs that same
+engine on blocks of samples, so both paths are bit-identical (all
+reductions here are fixed-order numpy reductions).
 
 Shapes: ``s_c [nC, I, I]``, ``s_s [nS, I, I]`` are the symmetric
 meta-graph relevance tensors; per-user weight vectors ``wc [nC]``,
@@ -13,12 +12,6 @@ meta-graph relevance tensors; per-user weight vectors ``wc [nC]``,
 from __future__ import annotations
 
 import numpy as np
-
-from repro.rng import u01
-
-# Tags namespace the hash keys of different random streams.
-TAG_WEIGHT_INIT_C = 11
-TAG_WEIGHT_INIT_S = 12
 
 
 def normalize_rows(w: np.ndarray) -> np.ndarray:
@@ -34,18 +27,6 @@ def normalize_rows(w: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(tot > 0, w / tot, uniform)
     return out
-
-
-def init_weights(n_users: int, n_meta: int, seed: int, tag: int) -> np.ndarray:
-    """Initial personal weightings ``[U, n_meta]``: uniform + jitter.
-
-    Deterministic in ``(seed, tag, user, meta)`` via the stateless hash,
-    so both engines (and re-runs) start from identical perceptions.
-    """
-    u = np.arange(n_users, dtype=np.int64)[:, None]
-    m = np.arange(n_meta, dtype=np.int64)[None, :]
-    w = 1.0 + 0.2 * u01(seed, tag, u, m)
-    return normalize_rows(w)
 
 
 def preference(

@@ -14,6 +14,11 @@ import numpy as np
 
 from repro.dynamics import kernels
 from repro.params import Params
+from repro.rng import u01
+
+# Tags namespace the hash keys of the two initial-weighting streams.
+TAG_WEIGHT_INIT_C = 11
+TAG_WEIGHT_INIT_S = 12
 
 
 @dataclass
@@ -126,41 +131,27 @@ class WorldState:
         return WorldState(self.adopted.copy(), self.wc.copy(), self.ws.copy())
 
 
-def init_state(model: ModelData, n_samples: int) -> WorldState:
-    """Fresh world state: nothing adopted, jittered-uniform weightings.
+def initial_weights(model: ModelData, users) -> tuple[np.ndarray, np.ndarray]:
+    """Initial ``(wc, ws)`` rows of the given local user ids: uniform + jitter.
 
-    Weight initialization is keyed by *original* user ids, so a
-    subgraph instance starts from exactly the same perceptions its
-    users have in the full instance.
+    Deterministic in ``(seed, tag, original user id, meta)`` via the
+    stateless hash, so a subgraph instance starts from exactly the same
+    perceptions its users have in the full instance.
     """
-    wc0 = kernels.init_weights(
-        len(model.orig_users), model.n_comp, model.seed, kernels.TAG_WEIGHT_INIT_C
+    u = model.orig_users[np.asarray(users, dtype=np.int64)][:, None]
+    wc = kernels.normalize_rows(
+        1.0 + 0.2 * u01(model.seed, TAG_WEIGHT_INIT_C, u, np.arange(model.n_comp)[None, :])
     )
-    ws0 = kernels.init_weights(
-        len(model.orig_users), model.n_subs, model.seed, kernels.TAG_WEIGHT_INIT_S
+    ws = kernels.normalize_rows(
+        1.0 + 0.2 * u01(model.seed, TAG_WEIGHT_INIT_S, u, np.arange(model.n_subs)[None, :])
     )
-    # Re-key by original ids: init_weights hashes (seed, tag, row, meta),
-    # so compute on the original id rows directly.
-    if not np.array_equal(model.orig_users, np.arange(model.n_users)):
-        u = model.orig_users[:, None]
-        wc0 = kernels.normalize_rows(
-            1.0
-            + 0.2
-            * _jitter(model.seed, kernels.TAG_WEIGHT_INIT_C, u, model.n_comp)
-        )
-        ws0 = kernels.normalize_rows(
-            1.0
-            + 0.2
-            * _jitter(model.seed, kernels.TAG_WEIGHT_INIT_S, u, model.n_subs)
-        )
+    return wc, ws
+
+
+def init_state(model: ModelData, n_samples: int) -> WorldState:
+    """Fresh world state: nothing adopted, :func:`initial_weights` for all users."""
+    wc0, ws0 = initial_weights(model, np.arange(model.n_users))
     adopted = np.zeros((n_samples, model.n_users, model.n_items), dtype=bool)
     wc = np.broadcast_to(wc0, (n_samples, *wc0.shape)).copy()
     ws = np.broadcast_to(ws0, (n_samples, *ws0.shape)).copy()
     return WorldState(adopted, wc, ws)
-
-
-def _jitter(seed: int, tag: int, users_col: np.ndarray, n_meta: int) -> np.ndarray:
-    from repro.rng import u01
-
-    m = np.arange(n_meta, dtype=np.int64)[None, :]
-    return u01(seed, tag, users_col, m)

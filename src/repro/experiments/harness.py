@@ -8,7 +8,7 @@ Runs are cached in the :class:`Runner`, so tables that share cells
 the dataset seed and the stateless trial RNG.
 
 σ is evaluated with the local engine by default; ``Runner.spark_check``
-re-evaluates any cell on the Spark BSP engine (identical trial keys →
+re-evaluates any cell on the Spark evaluator (identical trial keys →
 identical adoptions), which the jobs use to certify one cell per table.
 """
 from __future__ import annotations
@@ -105,7 +105,7 @@ class Runner:
         return cell
 
     def spark_check(self, spark, cell: CellResult, *, n_samples: int | None = None) -> float:
-        """Re-evaluate a cell's σ on the Spark BSP engine."""
+        """Re-evaluate a cell's σ on the Spark evaluator."""
         from repro.diffusion.spark_engine import simulate_spark
 
         ds = self.dataset(cell.dataset)

@@ -1,4 +1,4 @@
-"""Tests for the IMDPP dynamics kernels (repro.dynamics.kernels)."""
+"""Tests for the IMDPP dynamics kernels (repro.dynamics.kernels) and initial weights."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.dynamics import kernels
+from repro.dynamics.state import ModelData, initial_weights
+from repro.params import DEFAULT
 
 
 def _toy_tensors(n_meta=2, n_items=4, seed=0):
@@ -39,25 +41,37 @@ class TestNormalizeRows:
         assert (out >= 0).all()
 
 
+def _toy_model(n_users=10, n_comp=3, n_subs=2, seed=1):
+    n_items = 4
+    return ModelData(
+        n_users=n_users, n_items=n_items, src=[0], dst=[1], base_inf=[0.1],
+        s_c=_toy_tensors(n_comp, n_items), s_s=_toy_tensors(n_subs, n_items, seed=1),
+        base_pref=np.zeros((n_users, n_items)), importance=np.ones(n_items),
+        cost=np.ones((n_users, n_items)), params=DEFAULT, seed=seed,
+    )
+
+
 class TestInitWeights:
     def test_shape_and_simplex(self):
-        w = kernels.init_weights(10, 3, seed=1, tag=kernels.TAG_WEIGHT_INIT_C)
-        assert w.shape == (10, 3)
-        assert np.allclose(w.sum(axis=1), 1.0)
+        wc, ws = initial_weights(_toy_model(), np.arange(10))
+        assert wc.shape == (10, 3) and ws.shape == (10, 2)
+        assert np.allclose(wc.sum(axis=1), 1.0)
+        assert np.allclose(ws.sum(axis=1), 1.0)
 
     def test_deterministic(self):
-        a = kernels.init_weights(5, 3, 7, 11)
-        b = kernels.init_weights(5, 3, 7, 11)
-        assert np.array_equal(a, b)
+        a = initial_weights(_toy_model(seed=7), np.arange(5))
+        b = initial_weights(_toy_model(seed=7), np.arange(5))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_seed_changes_weights(self):
-        a = kernels.init_weights(5, 3, 7, 11)
-        b = kernels.init_weights(5, 3, 8, 11)
-        assert not np.allclose(a, b)
+        a = initial_weights(_toy_model(seed=7), np.arange(5))
+        b = initial_weights(_toy_model(seed=8), np.arange(5))
+        assert not np.allclose(a[0], b[0])
+        assert not np.allclose(a[1], b[1])
 
     def test_near_uniform(self):
-        w = kernels.init_weights(100, 4, 0, 11)
-        assert abs(w.mean() - 0.25) < 0.02
+        wc, _ = initial_weights(_toy_model(n_users=100, n_comp=4, seed=0), np.arange(100))
+        assert abs(wc.mean() - 0.25) < 0.02
 
 
 class TestPreference:

@@ -93,6 +93,14 @@ class TestEngineProperties:
         with pytest.raises(ValueError):
             simulate(small, [(0, 0, 7)], T=3, n_samples=2)
 
+    @pytest.mark.parametrize(
+        "seed", [(0, -2, 1), (-1, 0, 1), (100, 0, 1), (0, 8, 1)],
+        ids=["negative_item", "negative_user", "user_out_of_range", "item_out_of_range"],
+    )
+    def test_invalid_seed_id_rejected(self, small, seed):
+        with pytest.raises(ValueError, match="outside"):
+            simulate(small, [seed], T=1, n_samples=1)
+
     def test_empty_seed_group(self, small):
         res = simulate(small, [], T=2, n_samples=2)
         assert res.sigma == 0.0

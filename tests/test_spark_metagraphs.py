@@ -1,6 +1,7 @@
 """Spark meta-graph counting vs pandas mirror and the DuckDB oracle."""
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.data.kg import kg_pdf
 from repro.kg.metagraphs import (
@@ -8,11 +9,32 @@ from repro.kg.metagraphs import (
     relevance_table_pandas,
     relevance_table_spark,
 )
+from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
 def kg():
     return kg_pdf(20, seed=4)
+
+
+# The mC1 (shared-feature) complementary score of every item pair, in DuckDB.
+MC1_SQL = """
+WITH sup AS (SELECT src, dst FROM kg WHERE etype = 'SUPPORTS'),
+     cnt AS (
+       SELECT a.src AS x, b.src AS y, count(*) AS c
+       FROM sup a JOIN sup b ON a.dst = b.dst AND a.src < b.src
+       GROUP BY a.src, b.src
+     )
+SELECT x, y, c * 1.0 / (SELECT max(c) FROM cnt){extra} AS s FROM cnt
+"""
+
+
+def _mc1_scores(spark, kg):
+    return (
+        relevance_table_spark(spark, spark.createDataFrame(kg), metagraph_library(1, 1))
+        .filter(F.col("kind") == "C")
+        .select("x", "y", "s")
+    )
 
 
 class TestSparkCounting:
@@ -31,28 +53,12 @@ class TestSparkCounting:
 
     def test_oracle_shared_feature_counts(self, spark, kg):
         """mC1 instance counting is a plain SQL self-join — oracle it."""
-        from repro.oracle import assert_equivalent
-        from pyspark.sql import functions as F
+        assert_equivalent(_mc1_scores(spark, kg), MC1_SQL.format(extra=""), kg=kg)
 
-        got = (
-            relevance_table_spark(spark, spark.createDataFrame(kg),
-                                  metagraph_library(1, 1))
-            .filter(F.col("kind") == "C")
-            .select("x", "y", "s")
-        )
-        assert_equivalent(
-            got,
-            """
-            WITH sup AS (SELECT src, dst FROM kg WHERE etype = 'SUPPORTS'),
-                 cnt AS (
-                   SELECT a.src AS x, b.src AS y, count(*) AS c
-                   FROM sup a JOIN sup b ON a.dst = b.dst AND a.src < b.src
-                   GROUP BY a.src, b.src
-                 )
-            SELECT x, y, c * 1.0 / (SELECT max(c) FROM cnt) AS s FROM cnt
-            """,
-            kg=kg,
-        )
+    def test_oracle_catches_wrong_result(self, spark, kg):
+        """The oracle fails a Spark result whose query asks for other scores."""
+        with pytest.raises(AssertionError):
+            assert_equivalent(_mc1_scores(spark, kg), MC1_SQL.format(extra=" + 1"), kg=kg)
 
     def test_truncated_library(self, spark, kg):
         got = relevance_table_spark(

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.data.datasets import make_dataset
-from repro.dynamics.state import ModelData, init_state
+from repro.dynamics.state import ModelData, init_state, initial_weights
 from repro.kg.relevance import average_relevance, personal_relevance
 from repro.params import DEFAULT
 
@@ -90,6 +90,10 @@ class TestWorldState:
         st = init_state(sub, 1)
         assert np.allclose(st.wc[0, 0], full.wc[0, 2])
         assert np.allclose(st.wc[0, 1], full.wc[0, 4])
+        assert np.allclose(st.ws[0], full.ws[0, [2, 4]])
+        wc, ws = initial_weights(sub, [1, 0])
+        assert np.array_equal(wc, full.wc[0, [4, 2]])
+        assert np.array_equal(ws, full.ws[0, [4, 2]])
 
     def test_copy_independent(self):
         st = init_state(tiny_model(), 1)
