@@ -84,8 +84,8 @@ def dysim(
                 if key not in rbar_cache:
                     res = simulate(submodel, list(key), T, p.mc_plan)
                     rbar_cache[key] = (
-                        average_relevance(res.state.wc, model.s_c),
-                        average_relevance(res.state.ws, model.s_s),
+                        average_relevance(res.wc, model.s_c),
+                        average_relevance(res.ws, model.s_s),
                     )
                 rc_tau, rs_tau = rbar_cache[key]
                 dr = dr_all_items(rc_tau, rs_tau, model.importance, tau.diameter)

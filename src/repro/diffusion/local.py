@@ -32,9 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dynamics import kernels
-from repro.dynamics.state import ModelData, WorldState, init_state
+from repro.dynamics.state import ModelData, WorldState, initial_weights
 
 TAG_TRIAL = 21  # namespaces adoption/ext trials in the hash keys
+ADOPT_T_DTYPE = np.uint8  # promotion indices in adopt_t, so T ≤ 255
+MAX_T = int(np.iinfo(ADOPT_T_DTYPE).max)
 
 
 @dataclass
@@ -45,21 +47,52 @@ class SimResult:
     each (user, item) adoption happened, or 0 if never. ``sigma`` is
     the importance-aware influence (Def. 1) averaged over samples;
     ``sigma_by_t [T+1]`` splits it by promotion (index 0 unused).
+    ``truncated`` counts the (sample, promotion) pairs that ended at
+    ``params.max_steps`` with a non-empty frontier.
+
+    The final weightings ``wc [M, U, nC]``/``ws [M, U, nS]`` and
+    ``state`` are built on access. A user's weights move only when they
+    adopt, so the result keeps the initial rows ``w0`` once and, in
+    ``w_moved``, the final rows of the (sample, user) pairs with an
+    adoption, in row-major order: a caller holding many results holds
+    little more than their ``adopt_t``.
     """
 
-    state: WorldState
     adopt_t: np.ndarray
     sigma: float
     sigma_by_t: np.ndarray
+    truncated: int
+    w0: tuple[np.ndarray, np.ndarray]
+    w_moved: tuple[np.ndarray, np.ndarray]
+
+    def _final(self, k: int) -> np.ndarray:
+        w = np.broadcast_to(self.w0[k], (len(self.adopt_t), *self.w0[k].shape)).copy()
+        w[self.adopt_t.any(axis=2)] = self.w_moved[k]
+        return w
+
+    @property
+    def wc(self) -> np.ndarray:
+        return self._final(0)
+
+    @property
+    def ws(self) -> np.ndarray:
+        return self._final(1)
+
+    @property
+    def state(self) -> WorldState:
+        """The final world state (adoptions from ``adopt_t``)."""
+        return WorldState(self.adopt_t > 0, self.wc, self.ws)
 
 
 def _group_seeds(model: ModelData, seeds, T: int) -> dict[int, list[tuple[int, int]]]:
-    """Seeds ``(user, item, t)`` grouped by promotion, each group sorted.
+    """Seeds ``(user, item, t)`` grouped by promotion, each group sorted and deduplicated.
 
-    Rejects ids outside ``[0, n_users) × [0, n_items)`` and timings
-    outside ``[1, T]``.
+    Rejects ``T`` above :data:`MAX_T`, ids outside ``[0, n_users) ×
+    [0, n_items)`` and timings outside ``[1, T]``.
     """
-    by_t: dict[int, list[tuple[int, int]]] = {}
+    if T > MAX_T:
+        raise ValueError(f"T={T} above {MAX_T}, the largest promotion index adopt_t stores")
+    by_t: dict[int, set[tuple[int, int]]] = {}
     for u, x, t in seeds:
         if not (0 <= u < model.n_users and 0 <= x < model.n_items):
             raise ValueError(
@@ -67,10 +100,8 @@ def _group_seeds(model: ModelData, seeds, T: int) -> dict[int, list[tuple[int, i
             )
         if not 1 <= t <= T:
             raise ValueError(f"seed timing {t} outside [1, {T}]")
-        by_t.setdefault(int(t), []).append((int(u), int(x)))
-    for t in by_t:
-        by_t[t].sort()
-    return by_t
+        by_t.setdefault(int(t), set()).add((int(u), int(x)))
+    return {t: sorted(group) for t, group in by_t.items()}
 
 
 def simulate(
@@ -89,7 +120,9 @@ def simulate(
     fixed gives common random numbers across seed groups.
     """
     by_t = _group_seeds(model, seeds, T)
-    state, adopt_t = _run_samples(model, by_t, T, range(n_samples), frozen, trial_salt)
+    adopt_t, w0, w_moved, truncated = _run_samples(
+        model, by_t, T, range(n_samples), frozen, trial_salt
+    )
 
     per_item = adopt_t > 0  # [M, U, I]
     sigma_by_t = np.zeros(T + 1)
@@ -97,7 +130,7 @@ def simulate(
         cnt = (adopt_t == t).sum(axis=1)  # [M, I] adopters of each item at t
         sigma_by_t[t] = float((cnt.mean(axis=0) * model.importance).sum())
     sigma = float((per_item.sum(axis=1).mean(axis=0) * model.importance).sum())
-    return SimResult(state, adopt_t, sigma, sigma_by_t)
+    return SimResult(adopt_t, sigma, sigma_by_t, truncated, w0, w_moved)
 
 
 def _run_samples(
@@ -107,15 +140,17 @@ def _run_samples(
     samples,
     frozen: bool,
     salt: int,
-) -> tuple[WorldState, np.ndarray]:
+) -> tuple[np.ndarray, tuple, tuple, int]:
     """Run the campaign for the given global sample ids from a fresh state.
 
-    Returns the final state and ``adopt_t`` with one row per id, in the
-    order given. A sample's draws depend only on its id, so any block of
-    ids (the Spark evaluator's shards) reproduces those rows exactly.
+    Returns ``adopt_t`` with one row per id, in the order given, the
+    initial and the moved final weight rows, and the number of truncated
+    promotions (see :class:`SimResult`). A sample's draws depend only on
+    its id, so any block of ids (the Spark evaluator's shards)
+    reproduces those rows exactly.
     """
-    state = init_state(model, len(samples))
-    adopt_t = np.zeros((len(samples), model.n_users, model.n_items), dtype=np.int16)
+    wc0, ws0 = initial_weights(model, np.arange(model.n_users))
+    adopt_t = np.zeros((len(samples), model.n_users, model.n_items), dtype=ADOPT_T_DTYPE)
 
     pref0 = act0 = None
     if frozen:
@@ -123,27 +158,22 @@ def _run_samples(
         pref0 = np.clip(model.base_pref, p.pref_floor, 1.0)
         act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)
 
+    truncated = 0
+    moved_c, moved_s = [wc0[:0]], [ws0[:0]]  # 0-row seeds: concatenable with no samples
     for i, s in enumerate(samples):
-        _run_sample(
-            model,
-            state.adopted[i],
-            state.wc[i],
-            state.ws[i],
-            adopt_t[i],
-            by_t,
-            T,
-            int(s),
-            frozen,
-            pref0,
-            act0,
-            salt,
+        wc, ws = wc0.copy(), ws0.copy()
+        truncated += _run_sample(
+            model, wc, ws, adopt_t[i], by_t, T, int(s), frozen, pref0, act0, salt
         )
-    return state, adopt_t
+        moved = adopt_t[i].any(axis=1)
+        moved_c.append(wc[moved])
+        moved_s.append(ws[moved])
+    w_moved = (np.concatenate(moved_c), np.concatenate(moved_s))
+    return adopt_t, (wc0, ws0), w_moved, truncated
 
 
 def _run_sample(
     model: ModelData,
-    adopted: np.ndarray,
     wc: np.ndarray,
     ws: np.ndarray,
     adopt_t: np.ndarray,
@@ -154,120 +184,114 @@ def _run_sample(
     pref0,
     act0,
     salt: int,
-) -> None:
+) -> int:
+    """Run one sample's campaign from nothing adopted, updating its weight
+    rows ``wc``/``ws`` in place and filling its ``adopt_t`` row; returns
+    its number of truncated promotions."""
     p = model.params
-    ad_count = adopted.sum(axis=1).astype(np.int64)
-    # Per-user preference rows, invalidated when a user's state changes
-    # (their own adoption or weight update) — recomputed in batches.
-    pref_cache: dict[int, np.ndarray] = {}
+    adopted = np.zeros((model.n_users, model.n_items), dtype=bool)
+    ad_count = np.zeros(model.n_users, dtype=np.int64)
+    # Per-user P_pref rows, valid where ``fresh``; a user's adoption (and
+    # so weight update) makes the row stale, and each step recomputes
+    # the stale rows it reads in one batch.
+    pref_rows = np.empty((model.n_users, model.n_items))
+    fresh = np.zeros(model.n_users, dtype=bool)
+    truncated = 0
 
     for t in range(1, T + 1):
         # --- step 0: seeds adopt their items outright -----------------
-        new_u, new_x = [], []
-        for u, x in by_t.get(t, ()):
-            if not adopted[u, x]:
-                new_u.append(u)
-                new_x.append(x)
-        f_u = np.asarray(new_u, dtype=np.int64)
-        f_x = np.asarray(new_x, dtype=np.int64)
-        _apply_adoptions(
-            model, adopted, wc, ws, ad_count, adopt_t, f_u, f_x, t, frozen, pref_cache
-        )
+        new = np.asarray(
+            [(u, x) for u, x in by_t.get(t, ()) if not adopted[u, x]], dtype=np.int64
+        ).reshape(-1, 2)
+        f_u, f_x = new[:, 0], new[:, 1]
+        _apply_adoptions(model, adopted, wc, ws, ad_count, adopt_t, fresh, f_u, f_x, t, frozen)
 
         for zeta in range(1, p.max_steps + 1):
             if len(f_u) == 0:
                 break
             f_u, f_x = _step(
-                model, adopted, wc, ws, ad_count, f_u, f_x,
-                sample, t, zeta, frozen, pref0, act0, salt, pref_cache,
+                model, adopted, wc, ws, ad_count, pref_rows, fresh, f_u, f_x,
+                sample, t, zeta, frozen, pref0, act0, salt,
             )
             _apply_adoptions(
-                model, adopted, wc, ws, ad_count, adopt_t, f_u, f_x, t, frozen,
-                pref_cache,
+                model, adopted, wc, ws, ad_count, adopt_t, fresh, f_u, f_x, t, frozen
             )
+        truncated += len(f_u) > 0
+    return truncated
 
 
-def _apply_adoptions(
-    model, adopted, wc, ws, ad_count, adopt_t, f_u, f_x, t, frozen, pref_cache
-):
-    """Record new adoptions, then run the end-of-step weight updates."""
+def _apply_adoptions(model, adopted, wc, ws, ad_count, adopt_t, fresh, f_u, f_x, t, frozen):
+    """Record new adoptions, then run the end-of-step weight updates in one batch."""
     if len(f_u) == 0:
         return
     adopted[f_u, f_x] = True
     adopt_t[f_u, f_x] = t
     np.add.at(ad_count, f_u, 1)
-    for u in np.unique(f_u):
-        pref_cache.pop(int(u), None)
-        if frozen:
-            continue
-        items = np.sort(f_x[f_u == u])
-        wc[u], ws[u] = kernels.update_weights(
-            wc[u], ws[u], adopted[u], items, model.s_c, model.s_s, model.params.eta
-        )
+    fresh[f_u] = False
+    if frozen:
+        return
+    users, row = np.unique(f_u, return_inverse=True)
+    new_items = np.zeros((len(users), model.n_items), dtype=bool)
+    new_items[row, f_x] = True
+    wc[users], ws[users] = kernels.update_weights(
+        wc[users], ws[users], adopted[users], new_items,
+        model.s_c, model.s_s, model.params.eta,
+    )
 
 
 def _step(
-    model, adopted, wc, ws, ad_count, f_u, f_x,
-    sample, t, zeta, frozen, pref0, act0, salt, pref_cache,
+    model, adopted, wc, ws, ad_count, pref_rows, fresh, f_u, f_x,
+    sample, t, zeta, frozen, pref0, act0, salt,
 ):
-    """One propagation step; returns the new-adoption frontier pairs."""
-    from repro.rng import u01
+    """One propagation step; returns the new-adoption frontier pairs, sorted."""
+    from repro.rng import fold, u01
 
     p = model.params
-    # Expand frontier pairs over out-edges of the frontier users.
+    n_items = model.n_items
+    none = np.empty(0, np.int64), np.empty(0, np.int64)
+    # Expand frontier pairs over out-edges of the frontier users: each
+    # user's CSR slice, concatenated in frontier order.
     counts = model.out_deg[f_u]
-    if counts.sum() == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    starts = model.out_start[f_u]
-    e_idx = np.concatenate(
-        [np.arange(s0, s0 + c, dtype=np.int64) for s0, c in zip(starts, counts)]
-    )
-    ev_src = model.src[e_idx]
+    n_ev = int(counts.sum())
+    if n_ev == 0:
+        return none
+    first = np.cumsum(counts) - counts  # event index of each pair's first edge
+    e_idx = np.arange(n_ev) + np.repeat(model.out_start[f_u] - first, counts)
     ev_dst = model.dst[e_idx]
     ev_x = np.repeat(f_x, counts)
-    ev_binf = model.base_inf[e_idx] if not frozen else act0[e_idx]
 
     live = ~adopted[ev_dst, ev_x]
     if not live.any():
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    ev_src, ev_dst, ev_x, ev_binf = (
-        ev_src[live], ev_dst[live], ev_x[live], ev_binf[live],
-    )
+        return none
+    e_idx, ev_dst, ev_x = e_idx[live], ev_dst[live], ev_x[live]
+    ev_src = model.src[e_idx]
 
-    # P_act per event (frozen: the precomputed clipped base influence).
     if frozen:
-        act = ev_binf
+        # The precomputed clipped base influence and base preference.
+        act = act0[e_idx]
+        pref_x = pref0[ev_dst, ev_x]
     else:
         inter = (adopted[ev_src] & adopted[ev_dst]).sum(axis=1)
         union = ad_count[ev_src] + ad_count[ev_dst] - inter
         act = kernels.influence_strength(
-            ev_binf, inter, union, p.gamma, p.act_floor, p.act_cap
+            model.base_inf[e_idx], inter, union, p.gamma, p.act_floor, p.act_cap
         )
-
-    # P_pref(dst, ·) per unique destination user (cached, batched).
-    uniq_dst = np.unique(ev_dst)
-    if frozen:
-        pref_mat = pref0[ev_dst]
-    else:
-        missing = np.asarray(
-            [u for u in uniq_dst if int(u) not in pref_cache], dtype=np.int64
-        )
-        if len(missing):
-            rows = kernels.preference_batch(
-                model.base_pref[missing], adopted[missing], wc[missing], ws[missing],
+        uniq_dst = np.unique(ev_dst)
+        stale = uniq_dst[~fresh[uniq_dst]]
+        if len(stale):
+            pref_rows[stale] = kernels.preference_batch(
+                model.base_pref[stale], adopted[stale], wc[stale], ws[stale],
                 model.s_c, model.s_s, p.beta_c, p.beta_s, p.pref_floor,
             )
-            for i, u in enumerate(missing):
-                pref_cache[int(u)] = rows[i]
-        pref_mat = np.stack([pref_cache[int(u)] for u in ev_dst])  # [n_ev, I]
-    pref_x = pref_mat[np.arange(len(ev_x)), ev_x]
+            fresh[stale] = True
+        pref_x = pref_rows[ev_dst, ev_x]
 
     p_promo = act * pref_x
 
-    # Direct adoption trials, keyed (salt, sample, t, ζ, u', u, x, y=x).
-    hit = u01(
-        model.seed, TAG_TRIAL, salt, sample, t, zeta, ev_src, ev_dst, ev_x, ev_x
-    ) < p_promo
+    # Every trial of an event is keyed (salt, sample, t, ζ, u', u, x, y);
+    # the prefix up to x is folded once per event.
+    key = fold(model.seed, TAG_TRIAL, salt, sample, t, zeta, ev_src, ev_dst, ev_x)
+    hit = u01(ev_x, acc=key) < p_promo  # direct adoption: y = x
 
     # Item-association (extra adoption) trials over every other item y:
     # P_ext = ext_scale · P_act(u',u) · P_pref(u,x) · r^C(u,x,y). In
@@ -277,22 +301,16 @@ def _step(
     p_ext = p.ext_scale * p_promo[:, None] * r_rows
     p_ext[adopted[ev_dst]] = 0.0
     p_ext[np.arange(len(ev_x)), ev_x] = 0.0
-    ys = np.arange(model.n_items, dtype=np.int64)[None, :]
-    ext_hit = (
-        u01(
-            model.seed, TAG_TRIAL, salt, sample, t, zeta,
-            ev_src[:, None], ev_dst[:, None], ev_x[:, None], ys,
-        )
-        < p_ext
-    )
+    # A uniform draw never falls below P_ext = 0, so only the other
+    # entries are drawn; the result is the same as drawing them all.
+    er, ey = np.nonzero(p_ext)
+    ext_hit = u01(ey, acc=key[er]) < p_ext[er, ey]
 
-    new_pairs = set(zip(ev_dst[hit].tolist(), ev_x[hit].tolist()))
-    er, ec = np.nonzero(ext_hit)
-    new_pairs.update(zip(ev_dst[er].tolist(), ec.tolist()))
-    if not new_pairs:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    arr = np.asarray(sorted(new_pairs), dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
+    pairs = np.unique(np.concatenate([
+        ev_dst[hit] * n_items + ev_x[hit],
+        ev_dst[er[ext_hit]] * n_items + ey[ext_hit],
+    ]))
+    return pairs // n_items, pairs % n_items
 
 
 def likelihood_pi(model: ModelData, state: WorldState, users=None) -> float:

@@ -57,7 +57,7 @@ def simulate_spark(
     def _block(batches):
         for pdf in batches:
             ids = pdf["id"].to_numpy()
-            _, adopt_t = _run_samples(model, by_t, T, ids, frozen, trial_salt)
+            adopt_t = _run_samples(model, by_t, T, ids, frozen, trial_salt)[0]
             s, u, x = np.nonzero(adopt_t)
             yield pd.DataFrame(
                 {"sample": ids[s], "user": u, "item": x, "t": adopt_t[s, u, x].astype(np.int64)}

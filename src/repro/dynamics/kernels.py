@@ -2,12 +2,16 @@
 
 These are the *single source of truth* for the dynamics math. The
 local Monte-Carlo engine calls them; the Spark evaluator runs that same
-engine on blocks of samples, so both paths are bit-identical (all
-reductions here are fixed-order numpy reductions).
+engine on blocks of samples, so both paths give identical results: they
+run the same code on the same inputs. The batched kernels use BLAS
+matrix products, whose summation order is not numpy's, so they match
+the scalar reference (:func:`preference`, and one row at a time for
+the weight update) to within ``allclose``, not bit for bit.
 
 Shapes: ``s_c [nC, I, I]``, ``s_s [nS, I, I]`` are the symmetric
 meta-graph relevance tensors; per-user weight vectors ``wc [nC]``,
-``ws [nS]`` live on the probability simplex of their class.
+``ws [nS]`` live on the probability simplex of their class (batched
+kernels take one row per user: ``[B, nC]``, ``[B, I]``).
 """
 from __future__ import annotations
 
@@ -65,13 +69,14 @@ def preference_batch(
 ) -> np.ndarray:
     """Vectorized :func:`preference` for a batch of users ``[B, I]``.
 
-    Same math, batched einsum — used by the engines' hot loops; the
-    scalar kernel stays as the readable reference (tests assert they
-    agree bit-for-bit, both reduce adopted items then meta-graphs).
+    Same math, one matrix product per class (``ad @ s`` sums each
+    meta-graph's relevance over the adopted items) — used by the
+    engine's hot loop; the scalar kernel stays as the readable
+    reference (tests assert they agree to within ``allclose``).
     """
     ad = np.asarray(adopted_rows, dtype=np.float64)
-    comp = np.einsum("um,umy->uy", wc_rows, np.einsum("ua,may->umy", ad, s_c))
-    subs = np.einsum("um,umy->uy", ws_rows, np.einsum("ua,may->umy", ad, s_s))
+    comp = np.einsum("um,muy->uy", wc_rows, ad @ s_c)
+    subs = np.einsum("um,muy->uy", ws_rows, ad @ s_s)
     return np.clip(base_pref_rows + beta_c * comp - beta_s * subs, pref_floor, 1.0)
 
 
@@ -99,31 +104,37 @@ def relevance_row(w_u: np.ndarray, s: np.ndarray, x: int) -> np.ndarray:
 
 
 def weight_gains(
-    adopted_after_u: np.ndarray, new_items: np.ndarray, s: np.ndarray
+    adopted_after: np.ndarray, new_items: np.ndarray, s: np.ndarray
 ) -> np.ndarray:
     """Unnormalized weight reinforcement for one class (factor 1 update).
 
-    ``gain[m] = Σ_{y ∈ new} Σ_{a ∈ A_after(u)\\{y}} s(a, y | m)`` — each
-    meta-graph is reinforced by the relevance its instances assign
-    between the newly adopted items and everything the user now owns
-    (the diagonal of ``s`` is zero, so ``a ≠ y`` is automatic; pairs of
-    two new items are counted symmetrically, order-free).
+    Rows are users: ``adopted_after [B, I]`` is each user's adoption set
+    after the step and ``new_items [B, I]`` marks the items adopted in
+    it. ``gain[b, m] = Σ_{y ∈ new(b)} Σ_{a ∈ A_after(b)\\{y}} s(a, y | m)``
+    — each meta-graph is reinforced by the relevance its instances
+    assign between the newly adopted items and everything the user now
+    owns (the diagonal of ``s`` is zero, so ``a ≠ y`` is automatic;
+    pairs of two new items are counted symmetrically, order-free).
     """
-    ad = np.asarray(adopted_after_u, dtype=np.float64)
-    new_items = np.asarray(new_items, dtype=np.int64)
-    return np.einsum("a,may->m", ad, s[:, :, new_items])
+    ad = np.asarray(adopted_after, dtype=np.float64)
+    new = np.asarray(new_items, dtype=np.float64)
+    return np.einsum("mby,by->bm", ad @ s, new)
 
 
 def update_weights(
-    wc_u: np.ndarray,
-    ws_u: np.ndarray,
-    adopted_after_u: np.ndarray,
+    wc_rows: np.ndarray,
+    ws_rows: np.ndarray,
+    adopted_after: np.ndarray,
     new_items: np.ndarray,
     s_c: np.ndarray,
     s_s: np.ndarray,
     eta: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reinforce and renormalize one user's weightings after adoptions."""
-    wc = normalize_rows(wc_u + eta * weight_gains(adopted_after_u, new_items, s_c))
-    ws = normalize_rows(ws_u + eta * weight_gains(adopted_after_u, new_items, s_s))
+    """Reinforce and renormalize a batch of users' weightings after adoptions.
+
+    ``wc_rows [B, nC]``, ``ws_rows [B, nS]``; ``adopted_after`` and
+    ``new_items`` are ``[B, I]`` as in :func:`weight_gains`.
+    """
+    wc = normalize_rows(wc_rows + eta * weight_gains(adopted_after, new_items, s_c))
+    ws = normalize_rows(ws_rows + eta * weight_gains(adopted_after, new_items, s_s))
     return wc, ws

@@ -32,16 +32,19 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def fold(*keys) -> np.ndarray:
+def fold(*keys, acc=None) -> np.ndarray:
     """Fold integer keys (scalars or broadcastable arrays) into uint64.
 
     Each key is absorbed with the golden-ratio increment then mixed, so
     distinct key tuples land far apart even when keys are small ints.
+    ``acc`` resumes from an earlier fold: ``fold(*b, acc=fold(*a))`` is
+    ``fold(*a, *b)``, so a key prefix shared by many draws is folded once.
     """
     err = np.geterr()
     np.seterr(over="ignore")
     try:
-        acc = np.uint64(0x8000000000000000)
+        if acc is None:
+            acc = np.uint64(0x8000000000000000)
         for k in keys:
             acc = _mix64(acc + _GOLDEN + np.asarray(k, dtype=np.uint64))
         return acc
@@ -49,12 +52,13 @@ def fold(*keys) -> np.ndarray:
         np.seterr(**err)
 
 
-def u01(*keys) -> np.ndarray:
+def u01(*keys, acc=None) -> np.ndarray:
     """Uniform draws in [0, 1) keyed by the integer tuple.
 
     Broadcasts over array keys; returns float64 with 53 random bits.
+    ``acc`` is a folded key prefix, as in :func:`fold`.
     """
-    bits = fold(*keys) >> np.uint64(11)
+    bits = fold(*keys, acc=acc) >> np.uint64(11)
     return bits.astype(np.float64) / _U53
 
 

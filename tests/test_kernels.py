@@ -167,39 +167,67 @@ class TestRelevanceRow:
         assert kernels.relevance_row(np.ones(2), s, 2)[2] == 0.0
 
 
+def _new(n_items, *items):
+    """One-row new-item indicator ``[1, I]``."""
+    row = np.zeros((1, n_items), bool)
+    row[0, list(items)] = True
+    return row
+
+
 class TestWeightUpdates:
     def test_gain_hand_example(self):
         s = np.zeros((2, 3, 3))
         s[0, 0, 2] = s[0, 2, 0] = 0.5  # meta 0 relates items 0 and 2
-        ad_after = np.array([True, False, True])  # owns 0, newly adopted 2
-        gains = kernels.weight_gains(ad_after, np.array([2]), s)
-        assert gains[0] == pytest.approx(0.5)
-        assert gains[1] == pytest.approx(0.0)
+        ad_after = np.array([[True, False, True]])  # owns 0, newly adopted 2
+        gains = kernels.weight_gains(ad_after, _new(3, 2), s)
+        assert gains.shape == (1, 2)
+        assert gains[0, 0] == pytest.approx(0.5)
+        assert gains[0, 1] == pytest.approx(0.0)
 
     def test_update_reinforces_matching_meta(self):
         s_c = np.zeros((2, 3, 3))
         s_c[0, 0, 1] = s_c[0, 1, 0] = 1.0
         s_s = np.zeros((2, 3, 3))
-        ad = np.array([True, True, False])
+        ad = np.array([[True, True, False]])
         wc, ws = kernels.update_weights(
-            np.full(2, 0.5), np.full(2, 0.5), ad, np.array([1]), s_c, s_s, 0.5
+            np.full((1, 2), 0.5), np.full((1, 2), 0.5), ad, _new(3, 1), s_c, s_s, 0.5
         )
-        assert wc[0] > wc[1]  # meta 0 explained the co-adoption
+        assert wc[0, 0] > wc[0, 1]  # meta 0 explained the co-adoption
         assert np.allclose(wc.sum(), 1.0)
         assert np.allclose(ws, 0.5)  # no substitutable instances -> unchanged
 
     def test_no_relevance_no_change(self):
         s = np.zeros((2, 3, 3))
         wc, ws = kernels.update_weights(
-            np.array([0.6, 0.4]), np.array([0.3, 0.7]),
-            np.array([True, False, True]), np.array([2]), s, s, 0.5,
+            np.array([[0.6, 0.4]]), np.array([[0.3, 0.7]]),
+            np.array([[True, False, True]]), _new(3, 2), s, s, 0.5,
         )
-        assert np.allclose(wc, [0.6, 0.4])
-        assert np.allclose(ws, [0.3, 0.7])
+        assert np.allclose(wc, [[0.6, 0.4]])
+        assert np.allclose(ws, [[0.3, 0.7]])
 
     def test_two_new_items_symmetric(self):
+        # Both new items are reinforced against each other: the gain of
+        # the pair is the sum of each one's gain against the same set.
         s = _toy_tensors(2, 4)
-        ad = np.array([False, True, True, False])
-        g12 = kernels.weight_gains(ad, np.array([1, 2]), s)
-        g21 = kernels.weight_gains(ad, np.array([2, 1]), s)
-        assert np.allclose(g12, g21)
+        ad = np.array([[False, True, True, False]])
+        g12 = kernels.weight_gains(ad, _new(4, 1, 2), s)
+        g1, g2 = kernels.weight_gains(ad, _new(4, 1), s), kernels.weight_gains(ad, _new(4, 2), s)
+        assert np.allclose(g12, g1 + g2)
+        assert g12[0] == pytest.approx(2 * s[:, 1, 2])
+
+    def test_batch_matches_rows(self):
+        s_c, s_s = _toy_tensors(3, 6), _toy_tensors(2, 6, seed=2)
+        g = np.random.default_rng(4)
+        ad = g.random((5, 6)) > 0.4
+        new = ad & (g.random((5, 6)) > 0.5)
+        wc = kernels.normalize_rows(g.random((5, 3)))
+        ws = kernels.normalize_rows(g.random((5, 2)))
+        bc, bs = kernels.update_weights(wc, ws, ad, new, s_c, s_s, 0.3)
+        for i in range(5):
+            rc, rs = kernels.update_weights(
+                wc[i:i + 1], ws[i:i + 1], ad[i:i + 1], new[i:i + 1], s_c, s_s, 0.3
+            )
+            assert np.allclose(bc[i], rc[0]) and np.allclose(bs[i], rs[0])
+            # ... and each row is the scalar reference sum over its new items.
+            gain = sum(ad[i] @ s_c[:, :, y].T for y in np.flatnonzero(new[i]))
+            assert np.allclose(rc[0], kernels.normalize_rows(wc[i] + 0.3 * gain))

@@ -1,4 +1,6 @@
 """Tests for the local Monte-Carlo diffusion engine (repro.diffusion.local)."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,17 @@ class TestEngineProperties:
         with pytest.raises(ValueError, match="outside"):
             simulate(small, [seed], T=1, n_samples=1)
 
+    def test_T_above_uint8_rejected(self, small):
+        with pytest.raises(ValueError, match="255"):
+            simulate(small, [(0, 0, 1)], T=256, n_samples=1)
+        assert simulate(small, [(0, 0, 255)], T=255, n_samples=1).adopt_t.max() == 255
+
+    def test_duplicate_seed_counts_once(self, small):
+        once = simulate(small, [(0, 0, 1), (5, 2, 1)], T=2, n_samples=4)
+        twice = simulate(small, [(5, 2, 1), (0, 0, 1), (0, 0, 1)], T=2, n_samples=4)
+        assert np.array_equal(once.adopt_t, twice.adopt_t)
+        assert np.array_equal(once.wc, twice.wc)
+
     def test_empty_seed_group(self, small):
         res = simulate(small, [], T=2, n_samples=2)
         assert res.sigma == 0.0
@@ -120,11 +133,77 @@ class TestEngineProperties:
         st0 = init_state(small, 4)
         assert not np.allclose(res.state.wc, st0.wc)
 
+    def test_final_weights_move_only_for_adopters(self, small):
+        from repro.dynamics.state import init_state
+
+        res = simulate(small, [(0, 0, 1), (0, 1, 1), (3, 2, 1), (3, 4, 2)], T=2, n_samples=4)
+        st0 = init_state(small, 4)
+        moved = (res.adopt_t > 0).any(axis=2)
+        assert np.array_equal(res.state.adopted, res.adopt_t > 0)
+        assert np.array_equal(res.wc[~moved], st0.wc[~moved])
+        assert np.array_equal(res.ws[~moved], st0.ws[~moved])
+        assert not np.allclose(res.wc[moved], st0.wc[moved])
+
     def test_importance_weighting(self):
         m = line_model(0.0, n_items=2)
         m.importance = np.array([1.0, 0.25])
         res = simulate(m, [(0, 0, 1), (1, 1, 1)], T=1, n_samples=2)
         assert res.sigma == pytest.approx(1.25)
+
+
+class TestTruncation:
+    def test_max_steps_one_truncates(self):
+        m = make_dataset("small100", params=DEFAULT.with_(max_steps=1)).model
+        seeds = [(0, 0, 1), (5, 2, 1), (17, 1, 1)]
+        res = simulate(m, seeds, T=1, n_samples=8)
+        # With one step, a promotion is truncated exactly when step 1
+        # produced an adoption beyond the seeds.
+        spread = (res.adopt_t == 1).sum(axis=(1, 2)) > len(seeds)
+        assert res.truncated == spread.sum() > 0
+
+    def test_counts_sample_promotion_pairs(self):
+        m = make_dataset("small100", params=DEFAULT.with_(max_steps=1)).model
+        res = simulate(m, [(0, 0, 1), (5, 2, 2), (17, 1, 3)], T=3, n_samples=8)
+        assert 0 < res.truncated <= 8 * 3
+
+    def test_no_truncation_when_cascades_die_out(self, small):
+        res = simulate(small, [(0, 0, 1), (5, 2, 2)], T=3, n_samples=8)
+        assert res.truncated == 0
+
+
+def _log_sha(res) -> str:
+    return hashlib.sha256(np.ascontiguousarray(res.adopt_t, dtype=np.int16).tobytes()).hexdigest()
+
+
+GOLDEN_SEEDS = [(0, 0, 1), (5, 2, 2), (17, 1, 2), (42, 3, 3)]
+
+
+class TestGoldenLogs:
+    """Adoption logs pinned bit for bit: any change to the engine's
+    arithmetic, draw keys or step order that moves one adoption fails
+    here. The hashes are those of the contiguous int16 ``adopt_t``."""
+
+    def test_dynamic(self, small):
+        res = simulate(small, GOLDEN_SEEDS, T=3, n_samples=4)
+        assert _log_sha(res) == "ab319671259ab46e99a3d6e4d23247f5275c8291dee9cc629601e137568a1dc1"
+
+    def test_frozen(self, small):
+        res = simulate(small, GOLDEN_SEEDS, T=3, n_samples=4, frozen=True)
+        assert _log_sha(res) == "334674205e6a7117ca0677f419b530503c2483aef8de7cf872774151112374bc"
+
+    def test_subgraph(self, small):
+        sub = small.subgraph(np.arange(40, 100))
+        res = simulate(sub, [(0, 0, 1), (5, 2, 2), (2, 1, 2), (30, 3, 3)], T=3, n_samples=4)
+        assert _log_sha(res) == "5363cf8a8b2b78bbf175656f6431b859b00fecb641dad6307ec28df94b105d21"
+
+    def test_douban_cascade(self):
+        m = make_dataset("douban_lite").model
+        users = np.argsort(-m.out_deg, kind="stable")[:4]
+        items = np.argsort(-m.importance, kind="stable")[:2]
+        seeds = [(int(u), int(items[i % 2]), 1 + i // 2) for i, u in enumerate(users)]
+        res = simulate(m, seeds, T=2, n_samples=2, trial_salt=5)
+        assert np.count_nonzero(res.adopt_t) == 372  # real cascades, extra adoptions included
+        assert _log_sha(res) == "37e300f5992cd3d3412e8f66dbd8b150170676fa7e3300148dbd04cb17e7b780"
 
 
 class TestExtraAdoption:

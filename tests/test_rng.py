@@ -34,6 +34,29 @@ class TestFold:
     def test_dtype_uint64(self):
         assert fold(1).dtype == np.uint64
 
+    def test_acc_resumes_a_prefix(self):
+        assert fold(4, 5, acc=fold(1, 2, 3)) == fold(1, 2, 3, 4, 5)
+        assert fold(acc=fold(1, 2)) == fold(1, 2)
+
+
+class TestU01Prefix:
+    """``u01(y, acc=fold(*prefix))`` is exactly ``u01(*prefix, y)``."""
+
+    def test_scalar_keys(self):
+        prefix = (7, 21, 3, 11, 2, 1, 40, 41, 5)
+        for y in range(8):
+            assert u01(y, acc=fold(*prefix)) == u01(*prefix, y)
+
+    def test_broadcast_keys(self):
+        src, dst, x = np.arange(6), np.arange(6)[::-1] * 3, np.arange(6) % 4
+        ys = np.arange(10)[None, :]
+        acc = fold(7, 21, 0, 2, 1, 3, src, dst, x)
+        want = u01(7, 21, 0, 2, 1, 3, src[:, None], dst[:, None], x[:, None], ys)
+        assert np.array_equal(u01(ys, acc=acc[:, None]), want)
+        # Gathered (sparse) draws equal the matching dense entries.
+        er, ey = np.nonzero(np.arange(60).reshape(6, 10) % 3 == 0)
+        assert np.array_equal(u01(ey, acc=acc[er]), want[er, ey])
+
 
 class TestU01:
     def test_range(self):
