@@ -39,6 +39,10 @@ def main(argv=None) -> int:
     sp = simulate_spark(spark, ds.model, seeds, args.T, args.samples)
     lo = simulate(ds.model, seeds, args.T, args.samples)
     print(f"sigma spark={sp.sigma:.6f} local={lo.sigma:.6f}")
+    print(
+        f"local run: {lo.truncated} of {args.samples * args.T} (sample, promotion) "
+        f"pairs truncated at max_steps={ds.model.params.max_steps}"
+    )
     assert abs(sp.sigma - lo.sigma) < 1e-9, "engines diverged"
     print("engines agree exactly")
     spark.stop()

@@ -63,11 +63,11 @@ def cr_greedy_timings(
 
     assigned: list[tuple[int, int, int]] = []
     for g in groups:
-        base, _ = ev.sigma_pi(assigned)
+        base = ev.sigma(assigned)
         best = None
         for t in grid:
             cand = assigned + [(u, x, t) for u, x in g]
-            sig, _ = ev.sigma_pi(cand)
+            sig = ev.sigma(cand)
             score = (sig - base, -t)
             if best is None or score > best[0]:
                 best = (score, t)

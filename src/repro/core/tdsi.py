@@ -32,7 +32,8 @@ class MarketEvaluator:
         self.T = T
         self.n_samples = n_samples
         self._local = {int(g): i for i, g in enumerate(submodel.orig_users)}
-        self._cache: dict[tuple, tuple[float, float]] = {}
+        # σ, and π once a caller asked for it (None until then).
+        self._cache: dict[tuple, tuple[float, float | None]] = {}
 
     def _localize(self, seeds) -> tuple:
         out = []
@@ -42,13 +43,20 @@ class MarketEvaluator:
                 out.append((lu, int(x), int(t)))
         return tuple(sorted(out))
 
-    def sigma_pi(self, seeds) -> tuple[float, float]:
-        """(σ^τ, π^τ) of a seed group, memoized on the localized seeds."""
+    def sigma(self, seeds) -> float:
+        """σ^τ of a seed group, memoized in the cache :meth:`sigma_pi` shares."""
         key = self._localize(seeds)
         if key not in self._cache:
             res = simulate(self.submodel, list(key), self.T, self.n_samples)
-            pi = likelihood_pi(self.submodel, res.state)
-            self._cache[key] = (res.sigma, pi)
+            self._cache[key] = (res.sigma, None)
+        return self._cache[key][0]
+
+    def sigma_pi(self, seeds) -> tuple[float, float]:
+        """(σ^τ, π^τ) of a seed group, memoized on the localized seeds."""
+        key = self._localize(seeds)
+        if self._cache.get(key, (None, None))[1] is None:
+            res = simulate(self.submodel, list(key), self.T, self.n_samples)
+            self._cache[key] = (res.sigma, likelihood_pi(self.submodel, res.state))
         return self._cache[key]
 
 

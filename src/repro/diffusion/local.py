@@ -37,6 +37,12 @@ from repro.dynamics.state import ModelData, WorldState, initial_weights
 TAG_TRIAL = 21  # namespaces adoption/ext trials in the hash keys
 ADOPT_T_DTYPE = np.uint8  # promotion indices in adopt_t, so T ≤ 255
 MAX_T = int(np.iinfo(ADOPT_T_DTYPE).max)
+# Working-set bounds, independent of the number of samples: a block of
+# samples holds at most BLOCK_ROWS (sample, user) state rows, and the
+# [n, I] arrays of the item-association trials and of the stale
+# preference rows are built CHUNK events (rows) at a time.
+BLOCK_ROWS = 1 << 14
+CHUNK = 1 << 10
 
 
 @dataclass
@@ -145,12 +151,17 @@ def _run_samples(
 
     Returns ``adopt_t`` with one row per id, in the order given, the
     initial and the moved final weight rows, and the number of truncated
-    promotions (see :class:`SimResult`). A sample's draws depend only on
-    its id, so any block of ids (the Spark evaluator's shards)
-    reproduces those rows exactly.
+    promotions (see :class:`SimResult`). The ids run in blocks of
+    ``max(1, BLOCK_ROWS // U)``, all samples of a block moving through
+    each promotion and ζ-step together. A sample's draws depend only on
+    its id, so any split of ids into blocks (this one, or the Spark
+    evaluator's shards) reproduces those rows exactly.
     """
-    wc0, ws0 = initial_weights(model, np.arange(model.n_users))
-    adopt_t = np.zeros((len(samples), model.n_users, model.n_items), dtype=ADOPT_T_DTYPE)
+    n_users, n_items = model.n_users, model.n_items
+    samples = np.asarray(samples, dtype=np.int64)
+    wc0, ws0 = initial_weights(model, np.arange(n_users))
+    adopt_t = np.zeros((len(samples), n_users, n_items), dtype=ADOPT_T_DTYPE)
+    seeds = {t: np.asarray(g, dtype=np.int64).reshape(-1, 2) for t, g in by_t.items()}
 
     pref0 = act0 = None
     if frozen:
@@ -160,116 +171,133 @@ def _run_samples(
 
     truncated = 0
     moved_c, moved_s = [wc0[:0]], [ws0[:0]]  # 0-row seeds: concatenable with no samples
-    for i, s in enumerate(samples):
-        wc, ws = wc0.copy(), ws0.copy()
-        truncated += _run_sample(
-            model, wc, ws, adopt_t[i], by_t, T, int(s), frozen, pref0, act0, salt
+    per_block = max(1, BLOCK_ROWS // max(n_users, 1))
+    for lo in range(0, len(samples), per_block):
+        ids = samples[lo:lo + per_block]
+        rows_t = adopt_t[lo:lo + len(ids)].reshape(-1, n_items)  # a view: row i·U + u
+        wc, ws, n_trunc = _run_block(
+            model, wc0, ws0, rows_t, seeds, T, ids, frozen, pref0, act0, salt
         )
-        moved = adopt_t[i].any(axis=1)
+        truncated += n_trunc
+        moved = rows_t.any(axis=1)
         moved_c.append(wc[moved])
         moved_s.append(ws[moved])
     w_moved = (np.concatenate(moved_c), np.concatenate(moved_s))
     return adopt_t, (wc0, ws0), w_moved, truncated
 
 
-def _run_sample(
+def _run_block(
     model: ModelData,
-    wc: np.ndarray,
-    ws: np.ndarray,
+    wc0: np.ndarray,
+    ws0: np.ndarray,
     adopt_t: np.ndarray,
-    by_t: dict[int, list[tuple[int, int]]],
+    seeds: dict[int, np.ndarray],
     T: int,
-    sample: int,
+    ids: np.ndarray,
     frozen: bool,
     pref0,
     act0,
     salt: int,
-) -> int:
-    """Run one sample's campaign from nothing adopted, updating its weight
-    rows ``wc``/``ws`` in place and filling its ``adopt_t`` row; returns
-    its number of truncated promotions."""
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Run the campaign of the samples ``ids`` together from nothing adopted.
+
+    State rows are (sample, user) pairs, row ``i·U + u`` for user ``u``
+    of the i-th id, and the frontier is a list of (row, item) pairs.
+    Fills ``adopt_t [len(ids)·U, I]``; returns the final weight rows and
+    the number of truncated (sample, promotion) pairs.
+    """
     p = model.params
-    adopted = np.zeros((model.n_users, model.n_items), dtype=bool)
-    ad_count = np.zeros(model.n_users, dtype=np.int64)
-    # Per-user P_pref rows, valid where ``fresh``; a user's adoption (and
-    # so weight update) makes the row stale, and each step recomputes
-    # the stale rows it reads in one batch.
-    pref_rows = np.empty((model.n_users, model.n_items))
-    fresh = np.zeros(model.n_users, dtype=bool)
+    n_users, n_items = model.n_users, model.n_items
+    n_rows = len(ids) * n_users
+    adopted = np.zeros((n_rows, n_items), dtype=bool)
+    ad_count = np.zeros(n_rows, dtype=np.int64)
+    wc, ws = np.tile(wc0, (len(ids), 1)), np.tile(ws0, (len(ids), 1))
+    # Per-row P_pref, valid where ``fresh``; a row's adoption (and so
+    # weight update) makes it stale, and each step recomputes the stale
+    # rows it reads.
+    pref_rows = np.empty((n_rows, n_items))
+    fresh = np.zeros(n_rows, dtype=bool)
+    first_row = np.arange(len(ids)) * n_users
+    no_seeds = np.empty((0, 2), dtype=np.int64)
     truncated = 0
 
     for t in range(1, T + 1):
-        # --- step 0: seeds adopt their items outright -----------------
-        new = np.asarray(
-            [(u, x) for u, x in by_t.get(t, ()) if not adopted[u, x]], dtype=np.int64
-        ).reshape(-1, 2)
-        f_u, f_x = new[:, 0], new[:, 1]
-        _apply_adoptions(model, adopted, wc, ws, ad_count, adopt_t, fresh, f_u, f_x, t, frozen)
+        # --- step 0: seeds adopt their items outright, in every sample --
+        group = seeds.get(t, no_seeds)
+        f_r = (first_row[:, None] + group[:, 0]).ravel()
+        f_x = np.tile(group[:, 1], len(ids))
+        new = ~adopted[f_r, f_x]
+        f_r, f_x = f_r[new], f_x[new]
+        _apply_adoptions(model, adopted, wc, ws, ad_count, adopt_t, fresh, f_r, f_x, t, frozen)
 
         for zeta in range(1, p.max_steps + 1):
-            if len(f_u) == 0:
+            if len(f_r) == 0:
                 break
-            f_u, f_x = _step(
-                model, adopted, wc, ws, ad_count, pref_rows, fresh, f_u, f_x,
-                sample, t, zeta, frozen, pref0, act0, salt,
+            f_r, f_x = _step(
+                model, adopted, wc, ws, ad_count, pref_rows, fresh, f_r, f_x,
+                ids, t, zeta, frozen, pref0, act0, salt,
             )
             _apply_adoptions(
-                model, adopted, wc, ws, ad_count, adopt_t, fresh, f_u, f_x, t, frozen
+                model, adopted, wc, ws, ad_count, adopt_t, fresh, f_r, f_x, t, frozen
             )
-        truncated += len(f_u) > 0
-    return truncated
+        truncated += len(np.unique(f_r // n_users))
+    return wc, ws, truncated
 
 
-def _apply_adoptions(model, adopted, wc, ws, ad_count, adopt_t, fresh, f_u, f_x, t, frozen):
-    """Record new adoptions, then run the end-of-step weight updates in one batch."""
-    if len(f_u) == 0:
+def _apply_adoptions(model, adopted, wc, ws, ad_count, adopt_t, fresh, f_r, f_x, t, frozen):
+    """Record new (row, item) adoptions, then run the end-of-step weight updates in one batch."""
+    if len(f_r) == 0:
         return
-    adopted[f_u, f_x] = True
-    adopt_t[f_u, f_x] = t
-    np.add.at(ad_count, f_u, 1)
-    fresh[f_u] = False
+    adopted[f_r, f_x] = True
+    adopt_t[f_r, f_x] = t
+    np.add.at(ad_count, f_r, 1)
+    fresh[f_r] = False
     if frozen:
         return
-    users, row = np.unique(f_u, return_inverse=True)
-    new_items = np.zeros((len(users), model.n_items), dtype=bool)
-    new_items[row, f_x] = True
-    wc[users], ws[users] = kernels.update_weights(
-        wc[users], ws[users], adopted[users], new_items,
+    rows, inv = np.unique(f_r, return_inverse=True)
+    new_items = np.zeros((len(rows), model.n_items), dtype=bool)
+    new_items[inv, f_x] = True
+    wc[rows], ws[rows] = kernels.update_weights(
+        wc[rows], ws[rows], adopted[rows], new_items,
         model.s_c, model.s_s, model.params.eta,
     )
 
 
 def _step(
-    model, adopted, wc, ws, ad_count, pref_rows, fresh, f_u, f_x,
-    sample, t, zeta, frozen, pref0, act0, salt,
+    model, adopted, wc, ws, ad_count, pref_rows, fresh, f_r, f_x,
+    ids, t, zeta, frozen, pref0, act0, salt,
 ):
-    """One propagation step; returns the new-adoption frontier pairs, sorted."""
+    """One propagation step of every sample of a block; returns the new
+    (row, item) frontier pairs, sorted."""
     from repro.rng import fold, u01
 
     p = model.params
-    n_items = model.n_items
+    n_users, n_items = model.n_users, model.n_items
     none = np.empty(0, np.int64), np.empty(0, np.int64)
     # Expand frontier pairs over out-edges of the frontier users: each
     # user's CSR slice, concatenated in frontier order.
+    f_u = f_r % n_users
     counts = model.out_deg[f_u]
     n_ev = int(counts.sum())
     if n_ev == 0:
         return none
     first = np.cumsum(counts) - counts  # event index of each pair's first edge
     e_idx = np.arange(n_ev) + np.repeat(model.out_start[f_u] - first, counts)
-    ev_dst = model.dst[e_idx]
+    ev_base = np.repeat(f_r - f_u, counts)  # first row of each event's sample
+    ev_dst = ev_base + model.dst[e_idx]
     ev_x = np.repeat(f_x, counts)
 
     live = ~adopted[ev_dst, ev_x]
     if not live.any():
         return none
-    e_idx, ev_dst, ev_x = e_idx[live], ev_dst[live], ev_x[live]
-    ev_src = model.src[e_idx]
+    e_idx, ev_base, ev_dst, ev_x = e_idx[live], ev_base[live], ev_dst[live], ev_x[live]
+    src_u, dst_u = model.src[e_idx], ev_dst - ev_base
+    ev_src = ev_base + src_u
 
     if frozen:
         # The precomputed clipped base influence and base preference.
         act = act0[e_idx]
-        pref_x = pref0[ev_dst, ev_x]
+        pref_x = pref0[dst_u, ev_x]
     else:
         inter = (adopted[ev_src] & adopted[ev_dst]).sum(axis=1)
         union = ad_count[ev_src] + ad_count[ev_dst] - inter
@@ -278,38 +306,43 @@ def _step(
         )
         uniq_dst = np.unique(ev_dst)
         stale = uniq_dst[~fresh[uniq_dst]]
-        if len(stale):
-            pref_rows[stale] = kernels.preference_batch(
-                model.base_pref[stale], adopted[stale], wc[stale], ws[stale],
+        for lo in range(0, len(stale), CHUNK):
+            rows = stale[lo:lo + CHUNK]
+            pref_rows[rows] = kernels.preference_batch(
+                model.base_pref[rows % n_users], adopted[rows], wc[rows], ws[rows],
                 model.s_c, model.s_s, p.beta_c, p.beta_s, p.pref_floor,
             )
-            fresh[stale] = True
+        fresh[stale] = True
         pref_x = pref_rows[ev_dst, ev_x]
 
     p_promo = act * pref_x
 
     # Every trial of an event is keyed (salt, sample, t, ζ, u', u, x, y);
-    # the prefix up to x is folded once per event.
-    key = fold(model.seed, TAG_TRIAL, salt, sample, t, zeta, ev_src, ev_dst, ev_x)
+    # the prefix up to ζ is folded once per sample and the prefix up to
+    # x once per event.
+    acc = fold(ids, t, zeta, acc=fold(model.seed, TAG_TRIAL, salt))
+    key = fold(src_u, dst_u, ev_x, acc=acc[ev_base // n_users])
     hit = u01(ev_x, acc=key) < p_promo  # direct adoption: y = x
+    pairs = [ev_dst[hit] * n_items + ev_x[hit]]
 
     # Item-association (extra adoption) trials over every other item y:
     # P_ext = ext_scale · P_act(u',u) · P_pref(u,x) · r^C(u,x,y). In
     # frozen mode wc is never updated, so this reads the initial
-    # perception as required. Batched: r_rows[e] = wc[dst_e] @ s_c[:, x_e, :].
-    r_rows = np.einsum("em,emi->ei", wc[ev_dst], model.s_c[:, ev_x, :].transpose(1, 0, 2))
-    p_ext = p.ext_scale * p_promo[:, None] * r_rows
-    p_ext[adopted[ev_dst]] = 0.0
-    p_ext[np.arange(len(ev_x)), ev_x] = 0.0
-    # A uniform draw never falls below P_ext = 0, so only the other
-    # entries are drawn; the result is the same as drawing them all.
-    er, ey = np.nonzero(p_ext)
-    ext_hit = u01(ey, acc=key[er]) < p_ext[er, ey]
+    # perception as required. Batched over CHUNK events at a time:
+    # r_rows[e] = wc[dst_e] @ s_c[:, x_e, :].
+    for lo in range(0, len(ev_x), CHUNK):
+        dst, x = ev_dst[lo:lo + CHUNK], ev_x[lo:lo + CHUNK]
+        r_rows = np.einsum("em,emi->ei", wc[dst], model.s_c[:, x, :].transpose(1, 0, 2))
+        p_ext = p.ext_scale * p_promo[lo:lo + CHUNK, None] * r_rows
+        p_ext[adopted[dst]] = 0.0
+        p_ext[np.arange(len(x)), x] = 0.0
+        # A uniform draw never falls below P_ext = 0, so only the other
+        # entries are drawn; the result is the same as drawing them all.
+        er, ey = np.nonzero(p_ext)
+        ext_hit = u01(ey, acc=key[lo + er]) < p_ext[er, ey]
+        pairs.append(dst[er[ext_hit]] * n_items + ey[ext_hit])
 
-    pairs = np.unique(np.concatenate([
-        ev_dst[hit] * n_items + ev_x[hit],
-        ev_dst[er[ext_hit]] * n_items + ey[ext_hit],
-    ]))
+    pairs = np.unique(np.concatenate(pairs))
     return pairs // n_items, pairs % n_items
 
 

@@ -5,7 +5,7 @@ is a stateless function of its sample id (:mod:`repro.rng`), so the
 parallelism is across samples, not inside a cascade. The evaluator
 splits the global sample ids ``0..M-1`` into blocks (``spark.range``,
 one block per default-parallelism slot) and runs one ``mapInPandas``:
-each worker runs the local engine's per-sample loop on its block and
+each worker runs the local engine's sample loop on its block and
 emits ``(sample, user, item, t)`` adoption rows. The driver collects
 the rows and computes σ and its per-promotion split.
 

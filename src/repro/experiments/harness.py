@@ -27,7 +27,11 @@ METHODS = ("dysim", "bundlegrd", "hag", "ps")
 
 @dataclass
 class CellResult:
-    """One (dataset, method, b, T) run: planning time + evaluated σ."""
+    """One (dataset, method, b, T) run: planning time + evaluated σ.
+
+    ``truncated`` is the evaluation's count of (sample, promotion) pairs
+    cut at ``params.max_steps`` (:class:`~repro.diffusion.local.SimResult`).
+    """
 
     dataset: str
     method: str
@@ -36,6 +40,7 @@ class CellResult:
     sigma: float
     seconds: float
     n_seeds: int
+    truncated: int
     seeds: list = field(repr=False, default_factory=list)
 
 
@@ -99,8 +104,10 @@ class Runner:
         else:
             raise KeyError(f"unknown method {method!r}")
         seconds = time.perf_counter() - t0
-        sigma = simulate(model, seeds, T, self.mc_eval).sigma
-        cell = CellResult(dataset, method, b, T, sigma, seconds, len(seeds), seeds)
+        res = simulate(model, seeds, T, self.mc_eval)
+        cell = CellResult(
+            dataset, method, b, T, res.sigma, seconds, len(seeds), res.truncated, seeds
+        )
         self._cells[key] = cell
         return cell
 

@@ -19,9 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_MIX1_INT = 0xBF58476D1CE4E5B9
+_MIX2_INT = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+_START = 0x8000000000000000
+_GOLDEN = np.uint64(_GOLDEN_INT)
+_MIX1 = np.uint64(_MIX1_INT)
+_MIX2 = np.uint64(_MIX2_INT)
 _U53 = float(1 << 53)
 
 
@@ -32,6 +37,13 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _mix64_int(z: int) -> int:
+    """:func:`_mix64` on a Python int in ``[0, 2**64)``."""
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK64
+    return z ^ (z >> 31)
+
+
 def fold(*keys, acc=None) -> np.ndarray:
     """Fold integer keys (scalars or broadcastable arrays) into uint64.
 
@@ -39,17 +51,23 @@ def fold(*keys, acc=None) -> np.ndarray:
     distinct key tuples land far apart even when keys are small ints.
     ``acc`` resumes from an earlier fold: ``fold(*b, acc=fold(*a))`` is
     ``fold(*a, *b)``, so a key prefix shared by many draws is folded once.
+
+    Scalar keys are folded as Python ints mod 2**64 until the first
+    array key; from there on every operation is on uint64 arrays, which
+    wrap without a warning, so the numpy error state is never touched.
     """
-    err = np.geterr()
-    np.seterr(over="ignore")
-    try:
-        if acc is None:
-            acc = np.uint64(0x8000000000000000)
-        for k in keys:
+    acc = _START if acc is None else acc
+    if np.ndim(acc) == 0:
+        acc = int(acc)
+    for k in keys:
+        if not isinstance(acc, int):
             acc = _mix64(acc + _GOLDEN + np.asarray(k, dtype=np.uint64))
-        return acc
-    finally:
-        np.seterr(**err)
+        elif np.ndim(k) == 0:
+            acc = _mix64_int((acc + _GOLDEN_INT + int(k)) & _MASK64)
+        else:  # the first array key
+            acc = np.uint64((acc + _GOLDEN_INT) & _MASK64) + np.asarray(k, dtype=np.uint64)
+            acc = _mix64(acc)
+    return np.uint64(acc) if isinstance(acc, int) else acc
 
 
 def u01(*keys, acc=None) -> np.ndarray:

@@ -143,6 +143,19 @@ class TestMarketEvaluator:
         assert a == b
         assert len(ev._cache) == 1
 
+    def test_sigma_alone_shares_the_cache(self, small, monkeypatch):
+        from repro.core import tdsi
+
+        sub = small.subgraph(np.arange(30))
+        want = MarketEvaluator(sub, T=3, n_samples=4).sigma_pi([(0, 0, 1)])
+        ev = MarketEvaluator(sub, T=3, n_samples=4)
+        with monkeypatch.context() as m:
+            m.setattr(tdsi, "likelihood_pi", None)  # σ alone never computes π
+            assert ev.sigma([(0, 0, 1), (99, 0, 1)]) == want[0]  # 99 outside
+            assert ev.sigma([(0, 0, 1)]) == want[0]
+        assert ev.sigma_pi([(0, 0, 1)]) == want
+        assert len(ev._cache) == 1
+
     def test_out_of_market_seeds_dropped(self, small):
         sub = small.subgraph(np.arange(30))
         ev = MarketEvaluator(sub, T=3, n_samples=4)

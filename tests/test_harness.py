@@ -1,7 +1,9 @@
 """Tests for the experiment harness (repro.experiments.harness)."""
 import pytest
 
+from repro.diffusion.local import simulate
 from repro.experiments import harness as H
+from repro.params import DEFAULT
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +21,12 @@ class TestRunner:
         c = runner.run("small100", "ps", 6, 2)
         assert c.dataset == "small100" and c.method == "ps"
         assert c.sigma > 0 and c.seconds > 0 and c.n_seeds == len(c.seeds)
+
+    def test_cell_counts_truncations(self):
+        r = H.Runner(mc_eval=4, max_pairs=20, params=DEFAULT.with_(max_steps=1))
+        c = r.run("small100", "ps", 6, 2)
+        res = simulate(r.dataset("small100").model, c.seeds, 2, 4)
+        assert c.truncated == res.truncated > 0
 
     def test_unknown_method(self, runner):
         with pytest.raises(KeyError):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.data.datasets import make_dataset
-from repro.diffusion.local import likelihood_pi, simulate
+from repro.diffusion import local
+from repro.diffusion.local import _group_seeds, _run_samples, likelihood_pi, simulate
 from repro.diffusion.sigma import sigma_from_adopt_t
 from repro.dynamics.state import ModelData
 from repro.params import DEFAULT
@@ -204,6 +205,73 @@ class TestGoldenLogs:
         res = simulate(m, seeds, T=2, n_samples=2, trial_salt=5)
         assert np.count_nonzero(res.adopt_t) == 372  # real cascades, extra adoptions included
         assert _log_sha(res) == "37e300f5992cd3d3412e8f66dbd8b150170676fa7e3300148dbd04cb17e7b780"
+
+
+def _engine_case(name):
+    """(model, by_t, T, frozen, salt) of one fixed run on small100."""
+    small = make_dataset("small100").model
+    if name == "subgraph":
+        model, seeds = small.subgraph(np.arange(40, 100)), [(0, 0, 1), (5, 2, 2), (30, 3, 3)]
+    elif name == "max_steps_1":  # truncates, so the counts are compared too
+        model = make_dataset("small100", params=DEFAULT.with_(max_steps=1)).model
+        seeds = GOLDEN_SEEDS
+    else:
+        model, seeds = small, GOLDEN_SEEDS
+    return model, _group_seeds(model, seeds, 3), 3, name == "frozen", 2
+
+
+def _stack(runs):
+    """``(adopt_t, w_moved, truncated)`` of ``_run_samples`` calls on
+    consecutive id blocks, as if made by one call."""
+    return (
+        np.concatenate([r[0] for r in runs]),
+        tuple(np.concatenate([r[2][k] for r in runs]) for k in (0, 1)),
+        sum(r[3] for r in runs),
+    )
+
+
+def _assert_same_run(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]))
+    assert got[2] == want[2]
+
+
+class TestSampleBlocks:
+    """All samples of a block move through each ζ-step together; no
+    sample's rows may depend on which others share its block or chunk."""
+
+    CASES = ["dynamic", "frozen", "subgraph", "max_steps_1"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_batched_equals_per_id_runs(self, name):
+        model, by_t, T, frozen, salt = _engine_case(name)
+        full = _run_samples(model, by_t, T, range(6), frozen, salt)
+        per_id = _stack([_run_samples(model, by_t, T, [i], frozen, salt) for i in range(6)])
+        _assert_same_run(_stack([full]), per_id)
+        assert full[0].any()
+        if name == "max_steps_1":
+            assert full[3] > 0
+
+    @pytest.mark.parametrize("rows, chunk", [(1, 1), (350, 7)], ids=["one", "odd"])
+    def test_golden_logs_at_any_block_and_chunk_size(self, small, monkeypatch, rows, chunk):
+        # rows=350 splits small100's 4 samples into blocks of 3 and 1.
+        monkeypatch.setattr(local, "BLOCK_ROWS", rows)
+        monkeypatch.setattr(local, "CHUNK", chunk)
+        golden = TestGoldenLogs()
+        golden.test_dynamic(small)
+        golden.test_frozen(small)
+        golden.test_subgraph(small)
+        golden.test_douban_cascade()
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_uneven_id_blocks_give_the_same_rows(self, monkeypatch, name):
+        """The Spark evaluator's shards: any split of the ids into blocks."""
+        model, by_t, T, frozen, salt = _engine_case(name)
+        full = _run_samples(model, by_t, T, range(8), frozen, salt)
+        monkeypatch.setattr(local, "BLOCK_ROWS", 250)  # 2 small100 samples a block
+        shards = [[0, 1, 2], [3], [4, 5, 6, 7]]
+        runs = [_run_samples(model, by_t, T, np.array(ids), frozen, salt) for ids in shards]
+        _assert_same_run(_stack([full]), _stack(runs))
 
 
 class TestExtraAdoption:
